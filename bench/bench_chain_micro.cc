@@ -27,7 +27,6 @@
 #include "core/shard_writer.h"
 #include "routing/stochastic_router.h"
 #include "serving/engine.h"
-#include "serving/sharded_engine.h"
 
 namespace pcde {
 namespace bench {
@@ -242,7 +241,6 @@ int main(int argc, char** argv) {
   }
   const ScopedFileRemover serving_cleanup(serving_artifact);
   auto open_engine = [&](size_t threads, size_t cache_bytes,
-                         size_t prefix_bytes,
                          routing::PruningOptions route_pruning =
                              routing::PruningOptions())
       -> std::unique_ptr<serving::Engine> {
@@ -251,7 +249,6 @@ int main(int argc, char** argv) {
     options.graph = w.data->data.graph.get();
     options.num_threads = threads;
     options.query_cache_bytes = cache_bytes;
-    options.prefix_cache_bytes = prefix_bytes;
     options.route_max_expansions = 150000;
     options.route_max_path_edges = 24;
     options.route_pruning = route_pruning;
@@ -347,8 +344,7 @@ int main(int argc, char** argv) {
   // back to back with alternating order (the MeasurePaired discipline) so
   // the engine-vs-direct ratio is stable on noisy shared machines.
   {
-    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     core::HybridEstimator direct(*w.wp);
     ThreadPool direct_pool(1);
@@ -367,7 +363,7 @@ int main(int argc, char** argv) {
     series.push_back(direct_run.Finish("estimate_batch_direct_threads_1"));
   }
   for (size_t threads : {2, 4, 8}) {
-    auto engine = open_engine(threads, /*cache_bytes=*/0, /*prefix_bytes=*/0);
+    auto engine = open_engine(threads, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     BatchRun run;
     for (int r = 0; r < batch_reps; ++r) {
@@ -380,8 +376,7 @@ int main(int argc, char** argv) {
     // The cached serving path: repeated batches against the engine's query
     // cache (reps > 1 turns every repeat into hits).
     auto engine = open_engine(/*threads=*/4,
-                              /*cache_bytes=*/size_t{64} << 20,
-                              /*prefix_bytes=*/0);
+                              /*cache_bytes=*/size_t{64} << 20);
     if (engine == nullptr) return 1;
     BatchRun run;
     for (int r = 0; r < std::max(2, batch_reps); ++r) {
@@ -392,11 +387,10 @@ int main(int argc, char** argv) {
 
   // Routing series: the DFS stochastic router over OD pairs drawn from the
   // workload paths (12-edge windows at several offsets into each 20-edge
-  // path, so the OD set mixes roots and regions), measured plain, with
-  // prefix chain-state reuse (core/prefix_state_cache.h), and with the
-  // full pruning arsenal (routing/pruning.h). Reuse must return the same
-  // routes bit for bit; the pruned search must match the plain on-time
-  // probability exactly — either divergence aborts the bench.
+  // path, so the OD set mixes roots and regions), measured plain and with
+  // the full pruning arsenal (routing/pruning.h). The pruned search must
+  // match the plain on-time probability exactly — a divergence aborts the
+  // bench.
   {
     const roadnet::Graph& graph = *w.data->data.graph;
     struct RouteCase {
@@ -428,28 +422,22 @@ int main(int argc, char** argv) {
     }
     if (cases.empty()) {
       // An empty case set would emit zero-iteration routing series and
-      // make the reuse-vs-plain identity check vacuous.
+      // make the pruned-vs-plain parity check vacuous.
       std::fprintf(stderr, "no routing cases in the workload; aborting\n");
       return 1;
     }
-    // Three configurations route through the Engine (single worker so the
+    // Two configurations route through the Engine (single worker so the
     // DFS itself is measured — Engine threads=1 keeps the root fan-out
-    // sequential): plain, per-branch prefix reuse, and the pruned search
-    // (incumbent + dominance + cheap-first, routing/pruning.h).
-    auto plain_engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                                    /*prefix_bytes=*/0);
-    auto reuse_engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                                    /*prefix_bytes=*/size_t{4} << 20);
+    // sequential): plain and the pruned search (incumbent + dominance +
+    // cheap-first, routing/pruning.h).
+    auto plain_engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     routing::PruningOptions all_pruners;
     all_pruners.incumbent = true;
     all_pruners.dominance = true;
     all_pruners.cheap_first = true;
-    auto pruned_engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                                     /*prefix_bytes=*/0, all_pruners);
-    if (plain_engine == nullptr || reuse_engine == nullptr ||
-        pruned_engine == nullptr) {
-      return 1;
-    }
+    auto pruned_engine =
+        open_engine(/*threads=*/1, /*cache_bytes=*/0, all_pruners);
+    if (plain_engine == nullptr || pruned_engine == nullptr) return 1;
     const double depart = traj::HoursToSeconds(8.2);
     // Quality parity between the pruned and plain searches is only
     // contractual for complete (non-truncated) searches — a truncated
@@ -490,10 +478,9 @@ int main(int argc, char** argv) {
     // Interleaved back to back per (rep, case) with rotating order, the
     // MeasurePaired discipline: shared-machine noise cancels out of the
     // series-vs-series comparisons instead of landing on one series.
-    std::vector<RouteOutcome> plain, reused, pruned;
-    std::vector<double> plain_lat, reuse_lat, pruned_lat;
+    std::vector<RouteOutcome> plain, pruned;
+    std::vector<double> plain_lat, pruned_lat;
     plain_lat.reserve(cases.size() * static_cast<size_t>(route_reps));
-    reuse_lat.reserve(cases.size() * static_cast<size_t>(route_reps));
     pruned_lat.reserve(cases.size() * static_cast<size_t>(route_reps));
     auto route_once = [&](const serving::Engine& engine, const RouteCase& c,
                           std::vector<double>* latencies,
@@ -518,34 +505,23 @@ int main(int argc, char** argv) {
       std::vector<double>* latencies;
       std::vector<RouteOutcome>* outcomes;
     };
-    const Contender contenders[3] = {
+    const Contender contenders[2] = {
         {plain_engine.get(), &plain_lat, &plain},
-        {reuse_engine.get(), &reuse_lat, &reused},
         {pruned_engine.get(), &pruned_lat, &pruned},
     };
     for (int r = 0; r < route_reps; ++r) {
       for (size_t i = 0; i < cases.size(); ++i) {
         const RouteCase& c = cases[i];
         const bool record = r == 0;
-        const size_t first = (static_cast<size_t>(r) + i) % 3;
-        for (size_t k = 0; k < 3; ++k) {
-          const Contender& t = contenders[(first + k) % 3];
+        const size_t first = (static_cast<size_t>(r) + i) % 2;
+        for (size_t k = 0; k < 2; ++k) {
+          const Contender& t = contenders[(first + k) % 2];
           route_once(*t.engine, c, t.latencies, t.outcomes, record);
         }
       }
     }
     series.push_back(
         KernelSeries::FromLatencies("route_dfs", std::move(plain_lat), 0));
-    KernelSeries reuse_series = KernelSeries::FromLatencies(
-        "route_dfs_prefix_reuse", std::move(reuse_lat), 0);
-    // The reuse series' cache columns carry the prefix-state traffic of
-    // the recorded routes (first rep per case).
-    for (const RouteOutcome& o : reused) {
-      if (!o.ok) continue;
-      reuse_series.cache_hits += o.response.prefix_cache_hits;
-      reuse_series.cache_misses += o.response.prefix_cache_misses;
-    }
-    series.push_back(std::move(reuse_series));
     KernelSeries pruned_series = KernelSeries::FromLatencies(
         "route_dfs_pruned", std::move(pruned_lat), 0);
     // Per-pruner attribution of the recorded routes.
@@ -558,21 +534,9 @@ int main(int argc, char** argv) {
     }
     series.push_back(std::move(pruned_series));
     for (size_t i = 0; i < plain.size(); ++i) {
-      // Prefix reuse is bit-identical (probability and path); the pruned
-      // search guarantees the exact probability, while cheap-first
-      // expansion ordering may resolve an exact probability tie to a
-      // different equally-good path.
-      const bool reuse_same =
-          plain[i].ok == reused[i].ok &&
-          (!plain[i].ok ||
-           (plain[i].response.on_time_probability ==
-                reused[i].response.on_time_probability &&
-            plain[i].response.best_path == reused[i].response.best_path));
-      if (!reuse_same) {
-        std::fprintf(stderr,
-                     "routing with prefix reuse diverged on case %zu\n", i);
-        return 1;
-      }
+      // The pruned search guarantees the exact probability, while
+      // cheap-first expansion ordering may resolve an exact probability
+      // tie to a different equally-good path.
       const bool pruned_same =
           plain[i].ok == pruned[i].ok &&
           (!plain[i].ok || plain[i].response.on_time_probability ==
@@ -614,8 +578,7 @@ int main(int argc, char** argv) {
     // read + validation + epoch wiring + atomic publish. This is the
     // refresh path's full cost; requests never wait on it (they pin the
     // old epoch), so it is a throughput tax, not a latency cliff.
-    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     std::vector<double> swap_lat;
     const int swap_reps = std::max(8, reps);
@@ -689,8 +652,7 @@ int main(int argc, char** argv) {
         !stamp_probes(serving_artifact, &verified_serving.probes)) {
       return 1;
     }
-    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     std::vector<double> swap_lat;
     const int swap_reps = std::max(8, reps);
@@ -719,8 +681,7 @@ int main(int argc, char** argv) {
     // cost of continuous refresh (epoch loads + old-epoch teardown on the
     // same box); every response must still succeed — zero-downtime means
     // the swap churn is never visible as an error.
-    auto engine = open_engine(/*threads=*/2, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/2, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     // Enough batches that several epochs publish inside the measured
     // window (a swap costs ~swap_publish p50, so two batches would see
@@ -863,8 +824,7 @@ int main(int argc, char** argv) {
   // implementation would overshoot by the full remaining estimate);
   // scripts/ci.sh gates p50 overshoot < 0.5x the unconstrained p50.
   {
-    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     // The slowest query: longest path served through the engine.
     const core::PathQuery* slow = &w.queries.front();
@@ -1015,8 +975,8 @@ int main(int argc, char** argv) {
     series.push_back(std::move(shed_series));
   }
 
-  // Sharded-serving series (ISSUE 10): split the workload model into two
-  // per-region shards, then serve through serving::ShardedEngine.
+  // Sharded-serving series: split the workload model into two per-region
+  // shards, then serve the manifest through serving::Engine.
   //  * sharded_estimate / sharded_estimate_mono: the same single-shard-hit
   //    requests (each workload path's maximal prefix inside its owning
   //    shard) served through the sharded front door and the monolithic
@@ -1055,20 +1015,19 @@ int main(int argc, char** argv) {
       cleanup.paths.push_back(
           (std::filesystem::temp_directory_path() / shard.file).string());
     }
-    serving::ShardedEngineOptions sharded_options;
-    sharded_options.engine.graph = w.data->data.graph.get();
-    sharded_options.engine.num_threads = 1;
-    sharded_options.engine.query_cache_bytes = 0;
-    auto opened = serving::ShardedEngine::Open(manifest_path, sharded_options);
+    serving::EngineOptions sharded_options;
+    sharded_options.model_path = manifest_path;
+    sharded_options.graph = w.data->data.graph.get();
+    sharded_options.num_threads = 1;
+    sharded_options.query_cache_bytes = 0;
+    auto opened = serving::Engine::Open(std::move(sharded_options));
     if (!opened.ok()) {
-      std::fprintf(stderr, "ShardedEngine::Open failed: %s\n",
+      std::fprintf(stderr, "Engine::Open(manifest) failed: %s\n",
                    opened.status().ToString().c_str());
       return 1;
     }
-    const std::unique_ptr<serving::ShardedEngine> sharded =
-        std::move(opened).value();
-    auto mono = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                            /*prefix_bytes=*/0);
+    const std::unique_ptr<serving::Engine> sharded = std::move(opened).value();
+    auto mono = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (mono == nullptr) return 1;
 
     // Single-shard-hit requests: each workload path's maximal prefix whose
@@ -1114,7 +1073,7 @@ int main(int argc, char** argv) {
     std::vector<double> sharded_lat, mono_lat;
     sharded_lat.reserve(single_hit.size() * static_cast<size_t>(sharded_reps));
     mono_lat.reserve(single_hit.size() * static_cast<size_t>(sharded_reps));
-    auto serve_once = [](const auto& engine,
+    auto serve_once = [](const serving::Engine& engine,
                          const serving::EstimateRequest& request,
                          std::vector<double>* latencies,
                          serving::CostSummary* summary) -> bool {
@@ -1177,11 +1136,11 @@ int main(int argc, char** argv) {
       series.push_back(KernelSeries::FromLatencies("sharded_estimate_cross",
                                                    std::move(cross_lat), 0));
     }
-    sharded_footprint.num_shards = sharded->num_shards();
+    sharded_footprint.num_shards = manifest.shards.size();
     sharded_footprint.resident_bytes_max_shard =
         sharded->MaxShardResidentBytes();
     sharded_footprint.mono_resident_bytes = mono->model().ResidentBytes();
-    if (sharded->resident_shards() < sharded->num_shards()) {
+    if (sharded->stats().shards_resident < manifest.shards.size()) {
       std::fprintf(stderr,
                    "sharded workload left a shard unattached; footprint "
                    "record would be vacuous\n");

@@ -1,16 +1,16 @@
 // Sharded serving end to end: build one model from trajectories, compile
 // it into two per-region shards plus a PCDEMF1 manifest with
-// core::WriteModelShards, open the manifest through
-// serving::ShardedEngine, and serve the same OD batch through the sharded
-// front door and a monolithic Engine side by side. Requests whose resolved
-// path stays inside one shard must answer bit-identically to the
-// monolithic engine (CostSummary::ExactlyEquals) and carry the manifest
-// fingerprint; requests that cross the shard boundary are stitched
-// per-segment and must stay within the documented tolerance of the
-// monolithic mean while reporting honest provenance (degradation >=
-// kSubpath, covered_fraction in (0, 1]). The per-shard resident footprint
-// must come in strictly below the monolithic model. Any divergence exits
-// nonzero, so this example doubles as a CI gate.
+// core::WriteModelShards, open the manifest through serving::Engine (Open
+// tells a manifest from a model artifact by its magic), and serve the same
+// OD batch through the sharded engine and a monolithic one side by side.
+// Requests whose resolved path stays inside one shard must answer
+// bit-identically to the monolithic engine (CostSummary::ExactlyEquals)
+// and carry the manifest fingerprint; requests that cross the shard
+// boundary are stitched per-segment and must stay within the documented
+// tolerance of the monolithic mean while reporting honest provenance
+// (degradation >= kSubpath, covered_fraction in (0, 1]). The per-shard
+// resident footprint must come in strictly below the monolithic model. Any
+// divergence exits nonzero, so this example doubles as a CI gate.
 #include <unistd.h>
 
 #include <cmath>
@@ -25,7 +25,6 @@
 #include "core/instantiation.h"
 #include "core/shard_writer.h"
 #include "serving/engine.h"
-#include "serving/sharded_engine.h"
 #include "traj/generator.h"
 #include "traj/store.h"
 
@@ -92,18 +91,18 @@ int main() {
                 shard.file.c_str());
   }
 
-  // 3. The sharded front door opens the manifest (shards attach lazily on
-  //    first touch); the monolithic reference adopts the same model.
-  serving::ShardedEngineOptions sharded_options;
-  sharded_options.engine.graph = city.graph.get();
-  auto opened = serving::ShardedEngine::Open(manifest_path, sharded_options);
+  // 3. The Engine opens the manifest (shards attach lazily on first
+  //    touch); the monolithic reference adopts the same model.
+  serving::EngineOptions sharded_options;
+  sharded_options.model_path = manifest_path;
+  sharded_options.graph = city.graph.get();
+  auto opened = serving::Engine::Open(std::move(sharded_options));
   if (!opened.ok()) {
-    std::printf("ShardedEngine::Open failed: %s\n",
+    std::printf("Engine::Open(manifest) failed: %s\n",
                 opened.status().ToString().c_str());
     return 1;
   }
-  const std::unique_ptr<serving::ShardedEngine> sharded =
-      std::move(opened).value();
+  const std::unique_ptr<serving::Engine> sharded = std::move(opened).value();
   serving::EngineOptions mono_options;
   mono_options.graph = city.graph.get();
   auto mono_opened = serving::Engine::Open(std::move(model), mono_options);
@@ -199,12 +198,11 @@ int main() {
   //    footprint strictly.
   const size_t max_shard = sharded->MaxShardResidentBytes();
   const size_t mono_bytes = mono->model().ResidentBytes();
-  if (sharded->resident_shards() < sharded->num_shards() ||
-      max_shard >= mono_bytes) {
+  const size_t resident = sharded->stats().shards_resident;
+  if (resident < manifest.shards.size() || max_shard >= mono_bytes) {
     std::printf("footprint gate failed: max shard %zu B vs monolithic %zu B "
                 "(%zu/%zu shards resident)\n",
-                max_shard, mono_bytes, sharded->resident_shards(),
-                sharded->num_shards());
+                max_shard, mono_bytes, resident, manifest.shards.size());
     return 1;
   }
   std::printf("footprint: max resident shard %.2f MB vs monolithic %.2f MB\n",

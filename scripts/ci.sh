@@ -4,9 +4,8 @@
 #
 #   1. Debug + ASan, SIMD forced to the scalar fallback — the golden
 #      equivalence tests cover the non-SIMD chain kernel under the
-#      sanitizer (including prefix_state_cache_test, which proves routing
-#      with prefix chain-state reuse bit-identical to routing without it,
-#      and the BatchMetrics worker path exercised by batch_estimator_test).
+#      sanitizer (including the BatchMetrics worker path exercised by
+#      batch_estimator_test).
 #      The swap-stress gate then reruns the refresh fault-injection
 #      harness's concurrency tests explicitly under ASan: concurrent
 #      clients against an engine whose model is repeatedly swapped (with
@@ -28,10 +27,12 @@
 #      temp files, and never corrupt or leak a served response.
 #   2. Optional Debug + TSan build (skipped with a notice when the
 #      toolchain can't produce one) running the thread pool, admission,
-#      overload-chaos, routing-pruning, and fault-sweep suites — the
-#      lock-order/data-race angle on the same cancellation and shedding
-#      machinery plus the shared-incumbent / strided-budget atomics and
-#      the armed-injector / retrying-swap paths.
+#      overload-chaos, routing-pruning, fault-sweep, sharded-engine, and
+#      refresh-fault suites — the lock-order/data-race angle on the same
+#      cancellation and shedding machinery plus the shared-incumbent /
+#      strided-budget atomics, the armed-injector / retrying-swap paths,
+#      lazy shard attach / LRU eviction, and generation publication under
+#      concurrent serving.
 #   3. Release with SIMD on — the production configuration.
 #   4. End-to-end examples in Release, all served through serving::Engine:
 #      quickstart, data_pipeline, and od_query each build -> save -> reload
@@ -42,8 +43,8 @@
 #      (build -> serve -> rejected corrupt swap -> delta rebuild -> swap ->
 #      serve) with exact-counterpart assertions on both epochs;
 #      sharded_serving splits one model into per-region shards plus a
-#      PCDEMF1 manifest, opens it through serving::ShardedEngine, and
-#      serves the same OD batch sharded vs monolithic — in-shard answers
+#      PCDEMF1 manifest, opens it through serving::Engine, and serves
+#      the same OD batch sharded vs monolithic — in-shard answers
 #      must be bit-identical, cross-shard answers stitched within
 #      tolerance with honest provenance, and the largest resident shard
 #      strictly below the monolithic footprint.
@@ -51,10 +52,10 @@
 #      BENCH_chain.json reports speedup_vs_reference < PCDE_CI_MIN_SPEEDUP
 #      (default 3), the binary model load is less than
 #      PCDE_CI_MIN_LOAD_SPEEDUP (default 10) times faster than the text
-#      parser, the routing-with-prefix-reuse series is missing, the
-#      Engine-vs-direct batch ratio engine_batch_vs_direct is missing or
-#      below PCDE_CI_MIN_ENGINE_RATIO (default 0.95 — the serving facade
-#      may cost at most ~5% over direct HybridEstimator wiring), or — on
+#      parser, the Engine-vs-direct batch ratio engine_batch_vs_direct is
+#      missing or below PCDE_CI_MIN_ENGINE_RATIO (default 0.95 — the
+#      serving facade may cost at most ~5% over direct HybridEstimator
+#      wiring), or — on
 #      hosts with >= 8 CPUs, the only place an 8-worker speedup is
 #      physically expressible — batch_scaling_8v1 drops below
 #      PCDE_CI_MIN_BATCH_SCALING (default 3). The refresh/degradation
@@ -89,8 +90,8 @@
 #      reports dishonest provenance, or the largest resident shard fails
 #      to undercut the monolithic footprint — and the sharded_vs_mono
 #      throughput ratio must stay at or above PCDE_CI_MIN_SHARDED_RATIO
-#      (default 0.8): the shard-routing front door may cost at most ~20%
-#      over serving the unsplit model directly.
+#      (default 0.8): serving a manifest's single-shard paths may cost at
+#      most ~20% over serving the unsplit model directly.
 #
 # Usage: scripts/ci.sh [reps]
 set -euo pipefail
@@ -125,7 +126,7 @@ echo "=== [1/5] Pruned-routing gate (pruner quality parity under ASan) ==="
 echo "=== [1/5] Fault-sweep gate (per-site durability fault injection under ASan) ==="
 ./build-asan/fault_sweep_test
 
-echo "=== [2/5] Optional Debug + TSan build (thread pool, admission, chaos) ==="
+echo "=== [2/5] Optional Debug + TSan build (thread pool, admission, chaos, swaps, shards) ==="
 # Not every toolchain in the build matrix ships a working TSan runtime
 # (some libc/arch combinations can't even link it), so this step probes
 # first and skips with a notice instead of failing the gate.
@@ -134,6 +135,7 @@ if cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DPCDE_SANITIZE=thread \
         > build-tsan-configure.log 2>&1 \
    && cmake --build build-tsan -j --target thread_pool_test admission_test \
         overload_chaos_test routing_pruning_test fault_sweep_test \
+        sharded_engine_test refresh_fault_test \
         > build-tsan-build.log 2>&1 \
    && ./build-tsan/thread_pool_test --gtest_brief=1 > /dev/null 2>&1; then
   ./build-tsan/thread_pool_test
@@ -141,6 +143,8 @@ if cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DPCDE_SANITIZE=thread \
   ./build-tsan/overload_chaos_test
   ./build-tsan/routing_pruning_test
   ./build-tsan/fault_sweep_test
+  ./build-tsan/sharded_engine_test
+  ./build-tsan/refresh_fault_test
 else
   echo "ci: TSan build unavailable on this toolchain — skipping (see build-tsan-*.log)"
 fi
@@ -179,10 +183,6 @@ fi
 if ! awk -v s="$LOAD_SPEEDUP" -v min="$MIN_LOAD_SPEEDUP" \
      'BEGIN { exit (s + 0 >= min + 0) ? 0 : 1 }'; then
   echo "ci: binary_load_speedup_vs_text = $LOAD_SPEEDUP < $MIN_LOAD_SPEEDUP — artifact regression" >&2
-  exit 1
-fi
-if ! grep -q '"route_dfs_prefix_reuse"' BENCH_chain.json; then
-  echo "ci: BENCH_chain.json has no route_dfs_prefix_reuse series" >&2
   exit 1
 fi
 # The pruned routing series and its headline: the bench aborts before
@@ -270,8 +270,8 @@ fi
 # single-shard request diverges from the monolithic engine bit-for-bit, a
 # cross-shard stitch reports dishonest provenance, or the largest resident
 # shard is not strictly below the monolithic footprint — so series
-# presence certifies those gates, and the ratio below prices the
-# shard-routing front door against the unsplit model.
+# presence certifies those gates, and the ratio below prices serving a
+# manifest's single-shard paths against the unsplit model.
 for sharded_series in sharded_estimate sharded_estimate_mono \
                       sharded_estimate_cross; do
   if ! grep -q "\"${sharded_series}\"" BENCH_chain.json; then

@@ -140,8 +140,7 @@ class ChainSweeper {
       std::vector<std::pair<double, double>>* pessimistic) const;
 
   /// Approximate heap footprint of the sweep state (groups' SoA lanes plus
-  /// the interval pool) — the byte accounting PrefixStateCache budgets
-  /// cached sweeper snapshots with.
+  /// the interval pool).
   size_t MemoryBytes() const;
 
  private:

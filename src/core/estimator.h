@@ -23,7 +23,6 @@
 #include "common/thread_pool.h"
 #include "core/chain_estimator.h"
 #include "core/decomposition.h"
-#include "core/prefix_state_cache.h"
 #include "core/query_cache.h"
 #include "core/weight_function.h"
 
@@ -238,18 +237,6 @@ class IncrementalEstimator {
   /// to the plain overload.
   StatusOr<hist::Histogram1D> CurrentDistribution(QueryCache* cache) const;
 
-  /// Attaches a prefix chain-state cache (core/prefix_state_cache.h):
-  /// CurrentDistribution then clones the deepest cached prefix state
-  /// instead of replaying the whole unstable tail, and snapshots the
-  /// intermediate states it computes so sibling branches ("path + another
-  /// edge" around a shared prefix) skip the replay. Results are
-  /// bit-identical with and without the cache — ApplyPart is deterministic
-  /// and snapshots are exact copies. Not owned; estimator copies share the
-  /// pointer, and the cache is single-threaded by design (use one per DFS
-  /// branch). Pass nullptr to detach.
-  void set_prefix_cache(PrefixStateCache* cache) { prefix_cache_ = cache; }
-  PrefixStateCache* prefix_cache() const { return prefix_cache_; }
-
   /// Smallest possible total cost of the current path (for routing pruning).
   double MinTotalCost() const { return min_total_; }
 
@@ -325,10 +312,6 @@ class IncrementalEstimator {
   // Positions with no unit variable at all: their maxima are unknown, so
   // the pessimistic envelope is unusable while this is nonzero.
   size_t units_missing_ = 0;
-  PrefixStateCache* prefix_cache_ = nullptr;  // not owned; single-threaded
-  // Chain-options fingerprint for prefix-cache keys, hashed once here
-  // instead of per CurrentDistribution call.
-  uint64_t options_fingerprint_ = 0;
 };
 
 }  // namespace core

@@ -492,19 +492,15 @@ bool ParseI32Field(const std::string& s, int32_t* out) {
   return true;
 }
 
-/// Shared text parser. `require_binning` rejects v1 files (no BINNING
-/// record); otherwise `fallback_alpha_minutes` supplies the binning, and a
-/// BINNING record that disagrees with it is an error.
-StatusOr<PathWeightFunction> LoadText(const std::string& path,
-                                      bool require_binning,
-                                      double fallback_alpha_minutes) {
+/// Text v2 parser; v1 files (no BINNING record) are rejected.
+StatusOr<PathWeightFunction> LoadText(const std::string& path) {
   std::ifstream in(path);
   if (PCDE_FAULT_POINT("serialization.text.load.open") || !in.is_open()) {
     return Status::NotFound("LoadWeightFunction: cannot open " + path);
   }
 
   bool has_binning = false;
-  double alpha_minutes = fallback_alpha_minutes;
+  double alpha_minutes = 0.0;
   std::unique_ptr<WeightFunctionBuilder> builder;
 
   // Parser state for the variable being assembled.
@@ -565,24 +561,12 @@ StatusOr<PathWeightFunction> LoadText(const std::string& path,
         return Status::InvalidArgument(
             "LoadWeightFunction: duplicate or misplaced BINNING at " + where);
       }
-      // Compare in seconds: the artifact stores alpha_seconds / 60, and
-      // (m * 60) / 60 is not bit-exact for every double, while
-      // (s / 60) * 60 round-trips the stored value.
-      if (!require_binning &&
-          parsed * 60.0 != fallback_alpha_minutes * 60.0) {
-        return Status::InvalidArgument(
-            "LoadWeightFunction: artifact binning alpha = " +
-            std::to_string(parsed) + " min does not match the caller's " +
-            std::to_string(fallback_alpha_minutes) + " min (" + where + ")");
-      }
       alpha_minutes = parsed;
       has_binning = true;
     } else if (fields[0] == "VAR") {
-      if (!has_binning && require_binning) {
+      if (!has_binning) {
         return Status::InvalidArgument(
-            "LoadWeightFunction: no BINNING record before " + where +
-            " — text v1 artifact? Load it with LoadWeightFunctionTextV1 and "
-            "the alpha it was built with");
+            "LoadWeightFunction: no BINNING record before " + where);
       }
       if (builder == nullptr) {
         builder =
@@ -662,11 +646,9 @@ StatusOr<PathWeightFunction> LoadText(const std::string& path,
   if (PCDE_FAULT_POINT("serialization.text.load.read") || in.bad()) {
     return Status::Internal("LoadWeightFunction: read failed for " + path);
   }
-  if (require_binning && !has_binning) {
-    return Status::InvalidArgument(
-        "LoadWeightFunction: no BINNING record in " + path +
-        " — text v1 artifact? Load it with LoadWeightFunctionTextV1 and the "
-        "alpha it was built with");
+  if (!has_binning) {
+    return Status::InvalidArgument("LoadWeightFunction: no BINNING record in " +
+                                   path);
   }
   if (builder == nullptr) {
     builder =
@@ -715,16 +697,7 @@ StatusOr<PathWeightFunction> LoadWeightFunction(const std::string& path) {
     case ArtifactKind::kText:
       break;
   }
-  return LoadText(path, /*require_binning=*/true, /*fallback=*/0.0);
-}
-
-StatusOr<PathWeightFunction> LoadWeightFunctionTextV1(const std::string& path,
-                                                      double alpha_minutes) {
-  if (!(alpha_minutes > 0.0)) {
-    return Status::InvalidArgument(
-        "LoadWeightFunctionTextV1: alpha_minutes must be positive");
-  }
-  return LoadText(path, /*require_binning=*/false, alpha_minutes);
+  return LoadText(path);
 }
 
 }  // namespace core

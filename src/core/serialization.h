@@ -19,9 +19,8 @@
 //
 //   * Text v2: the v1 record stream (one variable per VAR/DIM/HB record
 //     group) prefixed with a BINNING record. Slow but greppable.
-//     Text v1 files (no BINNING record) predate the embedded binning; load
-//     them through the LoadWeightFunctionTextV1 compatibility shim, which
-//     takes the binning the file was built with.
+//     Text files without a BINNING record (v1) are rejected: their binning
+//     cannot be recovered from the file.
 //
 // LoadWeightFunction sniffs the format from the leading magic.
 #pragma once
@@ -46,7 +45,7 @@ Status SaveWeightFunctionBinary(const PathWeightFunction& wp,
 /// Loads either artifact format (sniffed from the leading bytes). The
 /// TimeBinning comes from the artifact; corrupt, truncated, or
 /// version-skewed files fail with a Status (never crash). Text v1 files
-/// are rejected here with a pointer to the shim below.
+/// (no BINNING record) are rejected.
 StatusOr<PathWeightFunction> LoadWeightFunction(const std::string& path);
 
 /// Loads the binary artifact only (buffered read into a private arena).
@@ -79,14 +78,6 @@ StatusOr<PathWeightFunction> LoadWeightFunctionBinary(const std::string& path,
 /// without paying the load + validation of the full payload. Text
 /// artifacts are rejected (their fingerprint requires a full parse).
 StatusOr<uint64_t> PeekBinaryArtifactFingerprint(const std::string& path);
-
-/// Compatibility shim for text v1 files, which did not embed the binning:
-/// `alpha_minutes` must be the binning the variables were instantiated
-/// with. Also accepts v2 text files, but then the embedded binning must
-/// match `alpha_minutes` — a mismatch is a load-time InvalidArgument (it
-/// used to be silent model corruption).
-StatusOr<PathWeightFunction> LoadWeightFunctionTextV1(const std::string& path,
-                                                      double alpha_minutes);
 
 }  // namespace core
 }  // namespace pcde

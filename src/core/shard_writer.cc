@@ -233,6 +233,14 @@ StatusOr<ShardManifest> WriteModelShards(const PathWeightFunction& wp,
   return manifest;
 }
 
+bool IsShardManifest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  uint64_t magic = 0;
+  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  return in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
+         magic == kManifestMagic;
+}
+
 StatusOr<ShardManifest> LoadShardManifest(const std::string& manifest_path) {
   auto bad = [&manifest_path](const std::string& what) {
     return Status::InvalidArgument("LoadShardManifest: " + what + " in " +

@@ -2,8 +2,8 @@
 // PathWeightFunction into per-shard PCDEWF1 artifacts keyed by the front
 // edge of each variable's interned edge sequence (the same key the frozen
 // CSR candidate index uses), plus a versioned, checksummed PCDEMF1
-// manifest naming every shard. serving::ShardedEngine opens the manifest
-// and routes paths to shards; a shard whose key range contains every edge
+// manifest naming every shard. serving::Engine opens the manifest and
+// routes paths to shards; a shard whose key range contains every edge
 // of a path holds the exact candidate set the monolithic model would use
 // for that path, so single-shard serving is bit-identical to the unsplit
 // model.
@@ -61,7 +61,7 @@ struct ShardManifest {
   /// from (diagnostic: ties a shard set back to its monolithic artifact).
   uint64_t source_fingerprint = 0;
   /// Checksum over the manifest payload — the generation identity that
-  /// stamps every ShardedEngine response's model_fingerprint.
+  /// stamps every sharded response's model_fingerprint.
   uint64_t fingerprint = 0;
   /// Shards in ascending key order, ranges partitioning
   /// [0, kMaxArtifactEdgeId) exactly.
@@ -91,6 +91,11 @@ struct ShardWriteOptions {
 StatusOr<ShardManifest> WriteModelShards(const PathWeightFunction& wp,
                                          const std::string& manifest_path,
                                          const ShardWriteOptions& options);
+
+/// True when `path` starts with the PCDEMF1 manifest magic (false for model
+/// artifacts, short files, and unreadable paths) — how serving::Engine
+/// tells a manifest from a model artifact.
+bool IsShardManifest(const std::string& path);
 
 /// \brief Reads and validates a PCDEMF1 manifest: magic, version, checksum,
 /// record bounds, name sanity, and the exact key-range partition are all

@@ -316,16 +316,6 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
       ++branch_results[i].bound_pruned;
       return;
     }
-    // Per-branch prefix chain-state reuse: the DFS copies the estimator
-    // per explored edge, so every copy under this root shares the branch's
-    // cache through the pointer — single-threaded by construction.
-    std::unique_ptr<core::PrefixStateCache> prefix_cache;
-    if (config_.prefix_cache_bytes > 0) {
-      core::PrefixStateCacheOptions cache_options;
-      cache_options.max_bytes = config_.prefix_cache_bytes;
-      prefix_cache = std::make_unique<core::PrefixStateCache>(cache_options);
-      estimator.set_prefix_cache(prefix_cache.get());
-    }
     std::vector<bool> visited(graph_.NumVertices(), false);
     visited[from] = true;
     visited[edge.to] = true;
@@ -353,11 +343,6 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
     ctx.path_vertices = &path_vertices;
     Dfs(&ctx, estimator, edge.to, 1);
     branch_results[i].expansions = budget.consumed();
-    if (prefix_cache != nullptr) {
-      const core::PrefixStateCacheStats stats = prefix_cache->stats();
-      branch_results[i].prefix_cache_hits = stats.hits;
-      branch_results[i].prefix_cache_misses = stats.misses;
-    }
   };
   if (config_.num_threads == 1 || roots.size() <= 1) {
     // Nothing to fan out (or parallelism disabled): skip pool start-up.
@@ -385,8 +370,6 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
   for (const RouteResult& br : branch_results) {
     total_expansions += br.expansions;
     result.candidate_paths += br.candidate_paths;
-    result.prefix_cache_hits += br.prefix_cache_hits;
-    result.prefix_cache_misses += br.prefix_cache_misses;
     result.bound_pruned += br.bound_pruned;
     result.incumbent_pruned += br.incumbent_pruned;
     result.dominance_pruned += br.dominance_pruned;

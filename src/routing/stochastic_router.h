@@ -45,19 +45,6 @@ struct RouterConfig {
   /// reuse each other's sub-path distributions. Must be backed by the same
   /// weight function as the router. nullptr disables caching.
   core::QueryCache* query_cache = nullptr;
-  /// Byte budget for the per-root-branch prefix chain-state cache
-  /// (core/prefix_state_cache.h): candidate paths sharing a costed
-  /// decomposition prefix clone the sweeper state instead of replaying it
-  /// — the sub-path cost reuse of routing exploration. One cache per DFS
-  /// root branch, so the parallel fan-out stays contention-free; results
-  /// are bit-identical with reuse on or off (tests/prefix_state_cache_test
-  /// proves it). Opt-in (0 = disabled), like query_cache: on rich
-  /// high-rank models absorption rewrites candidate tails, so hits land on
-  /// the cheap shallow prefixes and the snapshot copies roughly cancel the
-  /// replay savings (the paired route_dfs vs route_dfs_prefix_reuse bench
-  /// series measures the trade on your workload); low-rank models
-  /// (unit/pairwise chains) share deeper and benefit more.
-  size_t prefix_cache_bytes = 0;
   /// Opt-in search pruners (routing/pruning.h). All default off, which is
   /// bit-identical to the pre-pruning router. With num_threads == 1,
   /// incumbent and dominance pruning return exactly the same
@@ -80,10 +67,6 @@ struct RouteResult {
   size_t candidate_paths = 0;     // complete paths whose distribution was
                                   // evaluated
   bool truncated = false;         // expansion cap hit
-  /// Prefix chain-state cache traffic summed over root branches (all zero
-  /// when prefix reuse is disabled).
-  uint64_t prefix_cache_hits = 0;
-  uint64_t prefix_cache_misses = 0;
   /// Per-pruner attribution counters (summed over root branches).
   /// bound_pruned counts admissible free-flow bound cuts (always active);
   /// the other cut counters stay zero unless their pruner is enabled.

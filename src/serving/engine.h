@@ -13,22 +13,40 @@
 //   req.budget_seconds = 45 * 60.0;
 //   auto response = (*engine)->Estimate(req);  // CostSummary + provenance
 //
-// Open either loads a frozen model (binary artifact via buffered read or
-// mmap, or the text format) or adopts an already-built PathWeightFunction;
-// it constructs the shared work-stealing ThreadPool and sizes/attaches the
-// QueryCache declaratively from the options. Estimation through the Engine
-// is bit-identical to direct HybridEstimator wiring with the same options
-// (tests/serving_engine_test.cc proves it, with and without caches) — the
-// facade adds request resolution and summary derivation, not semantics.
+// Open loads a frozen model (binary artifact via buffered read or mmap, or
+// the text format), opens a PCDEMF1 shard manifest (core/shard_writer.h;
+// told apart from a model artifact by its magic), or adopts an already-
+// built PathWeightFunction; it constructs the work-stealing ThreadPool and
+// sizes/attaches the QueryCache declaratively from the options. Estimation
+// through the Engine is bit-identical to direct HybridEstimator wiring
+// with the same options (tests/serving_engine_test.cc proves it, with and
+// without caches) — the facade adds request resolution and summary
+// derivation, not semantics.
+//
+// Generations: the Engine serves one immutable *generation* at a time — a
+// sequence number, a fingerprint, a shard manifest, and one slot per shard
+// holding that shard's epoch (model + estimator + router). A model artifact
+// is a 1-shard generation under a synthetic manifest; a manifest names N
+// per-region shards that attach lazily on first touch (an optional LRU
+// cap bounds how many stay resident). Every request runs through one
+// serve path: a path whose edges all fall in one shard is served by that
+// shard exactly as the unsplit model would serve it (the shard holds the
+// same candidate rows in the same order); a path crossing shard boundaries
+// is segmented at the boundaries, each segment estimated on its owning
+// shard, and the segments convolved left to right with the departure time
+// advanced by each segment's mean — the stitch the sparse-coverage ladder
+// uses across uncovered gaps, flagged degradation >= kSubpath with a
+// length-weighted covered_fraction.
 //
 // Thread safety: Estimate / EstimateBatch / Route are const and safe to
-// call concurrently (the underlying estimator is read-only over the frozen
-// model and the QueryCache is sharded). Swap may run concurrently with all
-// of them: the model, estimator, and router live in an immutable epoch
-// snapshot published behind an atomically swapped shared_ptr; every request
-// pins the epoch it entered on, so a swap mid-request changes nothing for
-// that request and the old model is destroyed only when its last in-flight
-// request finishes. Concurrent Swap calls serialize against each other.
+// call concurrently (the underlying estimators are read-only over frozen
+// models and the QueryCache is sharded). Swap may run concurrently with all
+// of them: it builds and verifies the whole next generation off to the
+// side and publishes it with one atomic shared_ptr store; every request
+// pins the generation it entered on, so a swap mid-request changes nothing
+// for that request and a replaced model is destroyed only when its last
+// in-flight request finishes. Concurrent Swap calls serialize against each
+// other.
 #pragma once
 
 #include <atomic>
@@ -43,6 +61,7 @@
 #include "common/thread_pool.h"
 #include "core/estimator.h"
 #include "core/query_cache.h"
+#include "core/shard_writer.h"
 #include "routing/stochastic_router.h"
 #include "serving/admission.h"
 #include "serving/request.h"
@@ -51,7 +70,7 @@ namespace pcde {
 namespace serving {
 
 /// \brief One pre-publish verification query: Swap runs the request
-/// against the CANDIDATE epoch before publishing it. A probe whose
+/// against the CANDIDATE generation before publishing it. A probe whose
 /// estimate errors rejects the candidate; when a reference summary is
 /// stamped, so does any divergence from it (estimation is bit-identical
 /// across save/load, so a stamped reference computed on the model that
@@ -71,7 +90,8 @@ struct GoldenProbe {
 /// \brief Model-refresh robustness policy. The default is bit-identical to
 /// a policy-free engine: one load attempt, no probes, no retained epochs.
 struct SwapPolicy {
-  /// Load attempts per Swap(path) call. Content errors (corrupt artifact,
+  /// Load attempts per artifact per Swap(path) call (each changed shard of
+  /// a manifest swap gets its own attempts). Content errors (corrupt artifact,
   /// version skew: kInvalidArgument) fail immediately — the bytes will not
   /// fix themselves; IO errors and missing files (kInternal / kNotFound —
   /// e.g. a publisher mid-rename or flaky storage) are retried up to this
@@ -90,9 +110,10 @@ struct SwapPolicy {
   /// Engine-wide pre-publish probes, run on every swap candidate (per-call
   /// probes in SwapOptions take precedence). Empty = no verification.
   std::vector<GoldenProbe> probes;
-  /// Replaced epochs retained for RollbackToPrevious(), newest first out.
-  /// 0 disables retention (a replaced epoch is torn down as soon as its
-  /// last in-flight request finishes, exactly the policy-free lifecycle).
+  /// Replaced generations retained for RollbackToPrevious(), newest first
+  /// out. 0 disables retention (a replaced generation is torn down as soon
+  /// as its last in-flight request finishes, exactly the policy-free
+  /// lifecycle).
   size_t rollback_capacity = 0;
 };
 
@@ -100,7 +121,7 @@ struct SwapPolicy {
 /// engine because they are stamped per model generation.
 struct SwapOptions {
   /// Checked before every load attempt and during backoff sleeps; a
-  /// tripped token abandons the swap (the old epoch keeps serving).
+  /// tripped token abandons the swap (the old generation keeps serving).
   const CancelToken* cancel = nullptr;
   /// When non-empty, replaces SwapPolicy::probes for this call.
   std::vector<GoldenProbe> probes;
@@ -108,13 +129,15 @@ struct SwapOptions {
 
 /// Declarative configuration of the full serving stack.
 struct EngineOptions {
-  /// Model artifact to load when Open(options) is used (core/serialization:
-  /// PCDEWF1 binary or text v2, sniffed). Ignored by the adopting Open.
+  /// Artifact to serve when Open(options) is used: a frozen model
+  /// (core/serialization: PCDEWF1 binary or text v2) or a PCDEMF1 shard
+  /// manifest (core/shard_writer), told apart by their magic. Ignored by
+  /// the adopting Open.
   std::string model_path;
-  /// Map the binary artifact PROT_READ/MAP_SHARED and parse in place (one
-  /// page-cache copy across co-resident engines serving the same file).
-  /// Binary artifacts only; see LoadWeightFunctionBinary for the atomic-
-  /// replace lifecycle requirement.
+  /// Map binary artifacts (the model, or every shard of a manifest)
+  /// PROT_READ/MAP_SHARED and parse in place (one page-cache copy across
+  /// co-resident engines serving the same file). See
+  /// LoadWeightFunctionBinary for the atomic-replace lifecycle requirement.
   bool use_mmap = false;
 
   /// Road network backing OD-pair PathSpecs (free-flow shortest-path
@@ -126,26 +149,17 @@ struct EngineOptions {
   /// (the OD / OD-x / HP / LB method choice).
   core::EstimateOptions estimate;
 
-  /// Workers of the engine's shared pool (batch fan-out and the router's
-  /// root fan-out). 0 = hardware concurrency.
+  /// Workers of the engine's pool (batch fan-out and the router's root
+  /// fan-out). 0 = hardware concurrency.
   size_t num_threads = 0;
 
-  /// External worker pool (not owned; must outlive the engine). When set,
-  /// the engine builds no pool of its own and `num_threads` is ignored —
-  /// this is how ShardedEngine gives its N inner engines one shared pool
-  /// instead of N independent thread herds. nullptr = own pool (default).
-  ThreadPool* shared_pool = nullptr;
-
-  /// Byte budget of the shared result cache (core/query_cache.h); 0
+  /// Byte budget of the result cache (core/query_cache.h), one budget for
+  /// the whole engine — every shard of a sharded generation shares it; 0
   /// disables caching. Results are bit-identical either way.
   size_t query_cache_bytes = size_t{64} << 20;
   size_t query_cache_shards = 8;
   /// Departure-time bucket width folded into cache keys.
   double cache_time_bucket_seconds = 300.0;
-
-  /// Per-root-branch prefix chain-state reuse inside Route
-  /// (core/prefix_state_cache.h); 0 disables (opt-in, like the router's).
-  size_t prefix_cache_bytes = 0;
 
   /// DFS router knobs (see routing::RouterConfig for semantics).
   double route_lower_bound_factor = 0.8;
@@ -155,6 +169,13 @@ struct EngineOptions {
   /// keeps Route bit-identical to the pre-pruning engine. Individual
   /// RouteRequests can override via use_pruning_override.
   routing::PruningOptions route_pruning;
+
+  /// LRU cap on the attached shards of a sharded generation: attaching past
+  /// the cap detaches the least-recently-touched other shard (its
+  /// in-flight requests finish on their pinned epoch; the next touch
+  /// re-attaches from the artifact). 0 = unbounded. A 1-shard generation
+  /// is never evicted.
+  size_t max_resident_shards = 0;
 
   /// Admission control (overload protection). Requests — each single
   /// Estimate/Route call, and each request of a batch individually —
@@ -177,8 +198,9 @@ struct EngineOptions {
 };
 
 /// \brief Overload-observability counters, monotonically increasing over
-/// the engine's lifetime (inflight / highwater track live load). Snapshot
-/// via Engine::stats(); responses carry their own inflight_at_admit.
+/// the engine's lifetime (inflight / highwater track live load; every shard
+/// of a generation serves behind the one admission gate). Snapshot via
+/// Engine::stats(); responses carry their own inflight_at_admit.
 struct EngineStats {
   uint64_t admitted = 0;           // requests that acquired a slot
   uint64_t shed = 0;               // kResourceExhausted at admission
@@ -201,10 +223,11 @@ struct EngineStats {
   uint64_t swap_retries = 0;
   uint64_t probe_failures = 0;
   uint64_t rollbacks = 0;
-  /// Sharded serving (ShardedEngine::stats(); always 0 on a plain Engine).
-  /// shards_resident is a point-in-time gauge of attached shards; the
-  /// other three count attaches, LRU evictions, and requests whose path
-  /// crossed a shard boundary (stitched serve) over the engine's lifetime.
+  /// Sharded serving. shards_resident is a point-in-time gauge of the
+  /// published generation's attached shards (1 for a served model); the
+  /// other three count lazy attaches, LRU evictions, and requests whose
+  /// path crossed a shard boundary (stitched serve) over the engine's
+  /// lifetime.
   uint64_t shards_resident = 0;
   uint64_t shard_attaches = 0;
   uint64_t shard_evictions = 0;
@@ -219,9 +242,12 @@ CostSummary SummarizeDistribution(const hist::Histogram1D& dist,
                                   StatsMask stats, double budget_seconds,
                                   const std::vector<double>& quantiles);
 
+
 class Engine {
  public:
-  /// Loads the frozen model named by options.model_path and builds the
+  /// Opens options.model_path — a frozen model (loaded now) or a shard
+  /// manifest (every shard file validated against it now: existence, size,
+  /// header fingerprint; payloads load on first touch) — and builds the
   /// serving stack around it.
   static StatusOr<std::unique_ptr<Engine>> Open(EngineOptions options);
 
@@ -235,60 +261,73 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// \brief Zero-downtime model refresh: loads the artifact, validates it,
-  /// and atomically publishes it as a new epoch. In-flight and subsequent
-  /// requests are never failed by the transition — each pins one epoch for
-  /// its whole lifetime, and responses carry the pinned epoch + model
-  /// fingerprint so callers can audit which model answered. A corrupt,
-  /// truncated, or version-skewed artifact is rejected with the loader's
-  /// Status and the old epoch keeps serving untouched. An artifact whose
-  /// header checksum matches the currently served model short-circuits to
-  /// a no-op (no new epoch). The shared QueryCache survives swaps: its
-  /// keys carry the model fingerprint, so entries of replaced models decay
-  /// into misses and evict, never into false hits. Loads via
-  /// options().use_mmap, like Open. Returns the now-serving epoch sequence.
-  /// Thread-safe against requests and against other Swap calls.
-  /// Under a non-default SwapPolicy the load is additionally retried on
-  /// transient failures (with cancel-aware exponential backoff) and the
-  /// candidate is probe-verified before publication; see SwapPolicy.
-  StatusOr<uint64_t> Swap(const std::string& model_path);
+  /// \brief Zero-downtime refresh to the model artifact or shard manifest
+  /// at `path` (sniffed like Open). The next generation is built off to the
+  /// side: every shard file is validated, changed shards that are attached
+  /// now are reloaded (through the retry policy below), unchanged shards
+  /// keep their epochs, detached ones load on next touch, and the probes
+  /// run against the candidate. Then it publishes with one atomic store —
+  /// or, on any failure, nothing changes and the loader's Status returns:
+  /// no request ever sees a mix of generations. In-flight and subsequent
+  /// requests are never failed by the transition; responses carry the
+  /// pinned generation's epoch + fingerprint. An artifact whose fingerprint
+  /// matches the served generation short-circuits to a no-op. The shard
+  /// count must not change (re-sharding needs a fresh Open). The QueryCache
+  /// survives swaps: its keys carry each model's fingerprint, so entries of
+  /// replaced models decay into misses, never false hits. Returns the
+  /// now-serving epoch sequence. Under a non-default SwapPolicy loads are
+  /// retried on transient failures (with cancel-aware exponential backoff)
+  /// and the candidate is probe-verified before publication.
+  StatusOr<uint64_t> Swap(const std::string& path);
   /// Same, with per-call cancellation and probe references.
-  StatusOr<uint64_t> Swap(const std::string& model_path,
+  StatusOr<uint64_t> Swap(const std::string& path,
                           const SwapOptions& swap_options);
 
   /// Adopting form: publishes an already-built (or already-loaded) frozen
-  /// model as the new epoch — the embedded wiring, e.g. a delta rebuild
-  /// (WeightFunctionBuilder::FromFrozen + InstantiateIntoBuilder) frozen in
-  /// process and swapped in without touching disk. Probe verification
-  /// applies; the retry loop does not (there is no IO to retry).
+  /// model as a new 1-shard generation — the embedded wiring, e.g. a delta
+  /// rebuild (WeightFunctionBuilder::FromFrozen + InstantiateIntoBuilder)
+  /// frozen in process and swapped in without touching disk. Probe
+  /// verification applies; the retry loop does not (there is no IO).
   StatusOr<uint64_t> Swap(core::PathWeightFunction model);
   StatusOr<uint64_t> Swap(core::PathWeightFunction model,
                           const SwapOptions& swap_options);
 
-  /// \brief Republishes the most recently replaced epoch's model as a NEW
+  /// \brief Republishes the most recently replaced generation as a NEW
   /// epoch (sequence moves forward — a response's epoch number never goes
   /// backward), popping it from the last-known-good ring. The ring only
-  /// holds epochs replaced by successful swaps while
-  /// SwapPolicy::rollback_capacity > 0; the epoch being rolled back OFF of
-  /// is deliberately not retained (it is the suspect one). Fails with
-  /// kFailedPrecondition when nothing is retained.
+  /// holds generations replaced by successful swaps while
+  /// SwapPolicy::rollback_capacity > 0; the generation being rolled back
+  /// OFF of is deliberately not retained (it is the suspect one). Fails
+  /// with kFailedPrecondition when nothing is retained.
   StatusOr<uint64_t> RollbackToPrevious();
 
-  /// Epochs currently retained for rollback.
+  /// Generations currently retained for rollback.
   size_t rollback_depth() const;
 
-  /// Sequence number of the currently published epoch (starts at 1;
+  /// Sequence number of the currently published generation (starts at 1;
   /// incremented by every successful non-short-circuited Swap).
   uint64_t epoch_sequence() const;
+  /// The published generation's manifest (a synthetic 1-shard manifest
+  /// covering the whole key space for a model artifact, whose fingerprint
+  /// is the model's). Its fingerprint is the one stamped on responses
+  /// served right now. Swap-safe.
+  std::shared_ptr<const core::ShardManifest> manifest_snapshot() const;
 
   const EngineOptions& options() const { return options_; }
-  /// The currently published epoch's model. The reference stays valid
-  /// until the next successful Swap; under concurrent swaps prefer
+  /// The model of the published 1-shard generation. The reference stays
+  /// valid until the next successful Swap; under concurrent swaps prefer
   /// model_snapshot(), which the caller pins.
   const core::PathWeightFunction& model() const;
-  /// Swap-safe model access: the returned shared_ptr keeps the model (and
-  /// its arena) alive past any number of subsequent swaps.
+  /// Swap-safe model access for a 1-shard generation (attaching its shard
+  /// if it is not resident): the returned shared_ptr keeps the model (and
+  /// its arena) alive past any number of subsequent swaps. nullptr for a
+  /// multi-shard generation, or when the shard fails to attach.
   std::shared_ptr<const core::PathWeightFunction> model_snapshot() const;
+  /// Sum / max of the published generation's attached shard models'
+  /// resident bytes — the flat-memory claim sharding exists for; detached
+  /// shards cost nothing.
+  size_t ResidentBytes() const;
+  size_t MaxShardResidentBytes() const;
   /// nullptr when query_cache_bytes == 0.
   core::QueryCache* query_cache() const { return cache_.get(); }
   ThreadPool& pool() const { return *pool_; }
@@ -301,14 +340,16 @@ class Engine {
   /// with no graph), NotFound (unreachable pair).
   StatusOr<roadnet::Path> ResolvePath(const PathSpec& spec) const;
 
-  /// One cost-distribution query end to end: resolve, estimate (through
-  /// the attached cache), summarize.
+  /// One cost-distribution query end to end on the calling thread:
+  /// admission, resolution, shard routing, estimate (through the attached
+  /// cache) or cross-shard stitch, summary.
   StatusOr<EstimateResponse> Estimate(const EstimateRequest& request) const;
 
-  /// Many queries concurrently on the engine's shared pool; response i
-  /// corresponds to requests[i] and carries its own Status — a malformed
-  /// request (bad path, unresolvable OD pair) fails alone, never the
-  /// batch. Valid requests return exactly what Estimate would.
+  /// Many queries concurrently on the engine's pool, all pinned to one
+  /// generation; response i corresponds to requests[i] and carries its own
+  /// Status — a malformed request (bad path, unresolvable OD pair) fails
+  /// alone, never the batch. Every request returns exactly what Estimate
+  /// would.
   std::vector<StatusOr<EstimateResponse>> EstimateBatch(
       const EstimateRequest* requests, size_t num_requests) const;
   std::vector<StatusOr<EstimateResponse>> EstimateBatch(
@@ -317,93 +358,144 @@ class Engine {
   }
 
   /// Probabilistic budget routing (Sec. 4.3) on the engine's stack: the
-  /// DFS router runs with the engine's estimate options, query cache,
-  /// prefix-reuse budget, and shared pool. Requires options.graph.
+  /// DFS router runs with the engine's estimate options, query cache, and
+  /// pool. Requires options.graph and a 1-shard generation
+  /// (FailedPrecondition otherwise).
   StatusOr<RouteResponse> Route(const RouteRequest& request) const;
 
-  /// Point-in-time snapshot of the overload counters (admission traffic,
-  /// deadline/cancel unwinds, inflight high-water mark).
+  /// Point-in-time snapshot of the engine's counters (admission traffic,
+  /// deadline/cancel unwinds, inflight high-water mark, swaps, shards).
   EngineStats stats() const;
 
  private:
-  /// \brief One published model generation: the frozen model plus the
-  /// stack wired to it. Immutable once published; requests pin it with one
-  /// shared_ptr copy at entry, so a replaced epoch (and its model arena,
-  /// mmap included) is torn down exactly when its last in-flight request
-  /// drops the pin. The QueryCache and ThreadPool are engine-level and
-  /// shared across epochs — cache keys carry the model fingerprint, so
-  /// sharing is correctness-neutral.
+  /// One shard's model and the stack wired to it. Immutable; shared by
+  /// every generation whose slot holds it (a swap reuses unchanged
+  /// shards' epochs), torn down when the last holder — slot or in-flight
+  /// request — drops it. The QueryCache and ThreadPool are engine-level:
+  /// cache keys carry the model fingerprint, so sharing is
+  /// correctness-neutral.
   struct Epoch {
-    uint64_t sequence = 0;
     std::shared_ptr<const core::PathWeightFunction> model;
     std::unique_ptr<core::HybridEstimator> estimator;
     std::unique_ptr<routing::DfsStochasticRouter> router;  // iff graph set
   };
 
+  /// One shard of a generation. `epoch` is null while the shard is
+  /// detached; it is written under attach_mutex_ (or before publication)
+  /// and read with atomic shared_ptr loads.
+  struct Slot {
+    std::string path;  // artifact to attach from; empty for adopted models
+    mutable std::shared_ptr<const Epoch> epoch;
+    mutable std::atomic<uint64_t> last_touch{0};  // LRU clock at last use
+  };
+
+  /// \brief One published serving generation. Everything but the slots'
+  /// epochs is fixed before publication; requests pin it with one
+  /// shared_ptr copy at entry.
+  struct Generation {
+    explicit Generation(size_t num_shards) : slots(num_shards) {}
+    uint64_t sequence = 0;
+    core::ShardManifest manifest;  // fingerprint: the generation identity
+    std::vector<Slot> slots;
+  };
+
   explicit Engine(EngineOptions options);
 
-  static StatusOr<std::unique_ptr<Engine>> Make(
-      EngineOptions options,
-      std::unique_ptr<core::PathWeightFunction> model);
+  /// The engine-level stack (cache, pool, admission) with nothing
+  /// published yet.
+  static StatusOr<std::unique_ptr<Engine>> Make(EngineOptions options);
 
-  /// Wires a full epoch (estimator + edge fallback + router) around a
-  /// frozen model. Pure construction over validated input — no failure
-  /// mode; all swap failures happen before this, in the artifact load.
+  /// Loads one model artifact the way the options say (mmap or buffered).
+  StatusOr<core::PathWeightFunction> LoadModel(const std::string& path) const;
+  /// Swap's load: LoadModel under the SwapPolicy's retry/backoff.
+  StatusOr<core::PathWeightFunction> LoadWithRetry(
+      const std::string& path, const SwapOptions& swap_options);
+
+  /// Wires an epoch (estimator + edge fallback + router) around a frozen
+  /// model. Pure construction over validated input — no failure mode.
   std::shared_ptr<const Epoch> BuildEpoch(
+      std::shared_ptr<const core::PathWeightFunction> model) const;
+  /// The 1-shard generation serving `model` (already attached), under a
+  /// synthetic manifest whose one shard owns the whole key space.
+  std::shared_ptr<Generation> ModelGeneration(
       std::shared_ptr<const core::PathWeightFunction> model,
-      uint64_t sequence) const;
+      std::string path) const;
+  /// The generation a shard manifest names, every shard file validated
+  /// against it (existence, size, header fingerprint — cheap peeks, no
+  /// payload reads); every slot starts detached.
+  static StatusOr<std::shared_ptr<Generation>> ManifestGeneration(
+      const std::string& manifest_path);
 
-  /// The epoch pin every request takes exactly once at entry.
-  std::shared_ptr<const Epoch> CurrentEpoch() const;
+  /// The generation pin every request takes exactly once at entry.
+  std::shared_ptr<const Generation> CurrentGeneration() const;
 
-  /// Builds and publishes the next epoch; caller holds swap_mutex_.
-  uint64_t PublishLocked(std::shared_ptr<const core::PathWeightFunction> model);
+  /// The epoch of `generation`'s shard `idx`, attaching it (and evicting
+  /// other shards past the LRU cap) on first touch.
+  StatusOr<std::shared_ptr<const Epoch>> AttachShard(
+      const Generation& generation, size_t idx) const;
+  /// Detaches least-recently-touched shards of `generation` other than
+  /// `keep` until the resident count fits the cap; caller holds
+  /// attach_mutex_.
+  void EnforceResidentCapLocked(const Generation& generation,
+                                size_t keep) const;
 
-  /// Publishes an already-built epoch (epoch->sequence == next_sequence_),
-  /// retaining the replaced epoch in the rollback ring when the policy
-  /// keeps one; caller holds swap_mutex_.
-  uint64_t PublishEpochLocked(std::shared_ptr<const Epoch> epoch);
+  /// The one serve path behind Estimate, EstimateBatch, and swap probes:
+  /// admission (skipped for probes, which must not be shed), cancellation
+  /// setup, resolution, shard routing, estimation or the cross-shard
+  /// stitch, and provenance stamping.
+  StatusOr<EstimateResponse> ServeOne(const Generation& generation,
+                                      const EstimateRequest& request,
+                                      bool admit = true) const;
+  /// ServeOne's cross-shard stitch (see the header comment's contract):
+  /// fills `provenance` with the stitched level and coverage.
+  StatusOr<hist::Histogram1D> EstimateStitched(
+      const Generation& generation, const roadnet::Path& path,
+      double departure_time, const CancelToken* cancel,
+      core::FallbackProvenance* provenance) const;
 
   /// Runs `probes` against the unpublished candidate; on the first probe
   /// error or reference divergence counts a probe_failure and returns the
   /// rejection Status (the candidate is then dropped unpublished).
-  Status VerifyCandidate(const Epoch& candidate,
+  Status VerifyCandidate(const Generation& candidate,
                          const std::vector<GoldenProbe>& probes) const;
 
-  /// Builds the candidate epoch over `model`, verifies it with the
-  /// per-call (or policy) probes, and publishes the very object that was
-  /// verified; caller holds swap_mutex_.
+  /// Stamps `generation` with the next sequence and publishes it,
+  /// retaining the replaced generation in the rollback ring when the policy
+  /// keeps one; caller holds swap_mutex_ (or owns the engine exclusively).
+  uint64_t PublishLocked(std::shared_ptr<Generation> generation);
+
+  /// Verifies the candidate with the per-call (or policy) probes and
+  /// publishes the very object that was verified; caller holds
+  /// swap_mutex_.
   StatusOr<uint64_t> VerifyAndPublishLocked(
-      std::shared_ptr<const core::PathWeightFunction> model,
-      const SwapOptions& swap_options);
+      std::shared_ptr<Generation> candidate, const SwapOptions& swap_options);
 
   /// Bumps the deadline_exceeded / cancelled counter matching a request's
   /// terminal Status (no-op for other codes).
   void CountUnwind(const Status& status) const;
 
   EngineOptions options_;
-  // Engine-level (epoch-independent) members; unique_ptr keeps their
-  // addresses stable for the epochs' estimators and routers. The pool is
-  // either owned here or borrowed from EngineOptions::shared_pool; pool_
-  // points at whichever serves, and every use goes through it.
+  // Engine-level (generation-independent) members; unique_ptr keeps their
+  // addresses stable for the epochs' estimators and routers.
   std::unique_ptr<core::QueryCache> cache_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
-  // The published epoch, read with std::atomic_load (one acquire per
+  std::unique_ptr<ThreadPool> pool_;
+  // The published generation, read with std::atomic_load (one acquire per
   // request) and replaced with std::atomic_store under swap_mutex_.
-  std::shared_ptr<const Epoch> epoch_;
+  std::shared_ptr<const Generation> generation_;
   // Serializes Swap/Rollback callers; mutable so const observers
   // (rollback_depth) can take it.
   mutable std::mutex swap_mutex_;
+  // Serializes lazy attach / LRU evict decisions.
+  mutable std::mutex attach_mutex_;
   uint64_t next_sequence_ = 1;  // guarded by swap_mutex_ after Make
   // Last-known-good ring (newest at the back), bounded by
-  // SwapPolicy::rollback_capacity; guarded by swap_mutex_. Retaining an
-  // epoch keeps its model arena (mmap included) alive — capacity is a
-  // deliberate memory knob, not a cache.
-  std::deque<std::shared_ptr<const Epoch>> previous_epochs_;
-  // Admission gate + overload counters (request methods are const; the
-  // counters are serving telemetry, not model state). Set once in Make.
-  mutable std::unique_ptr<AdmissionController> admission_;
+  // SwapPolicy::rollback_capacity; guarded by swap_mutex_. Retaining a
+  // generation keeps its attached models (mmap included) alive — capacity
+  // is a deliberate memory knob, not a cache.
+  std::deque<std::shared_ptr<const Generation>> previous_generations_;
+  // Admission gate + counters (request methods are const; the counters
+  // are serving telemetry, not model state). Set once in Make.
+  std::unique_ptr<AdmissionController> admission_;
   mutable std::atomic<uint64_t> deadline_exceeded_{0};
   mutable std::atomic<uint64_t> cancelled_{0};
   // Routing pruning attribution (summed over successful Route calls).
@@ -411,11 +503,16 @@ class Engine {
   mutable std::atomic<uint64_t> route_incumbent_pruned_{0};
   mutable std::atomic<uint64_t> route_dominance_pruned_{0};
   mutable std::atomic<uint64_t> route_estimator_clones_{0};
-  // Refresh robustness counters (ISSUE 9); see EngineStats.
+  // Refresh robustness counters; see EngineStats.
   mutable std::atomic<uint64_t> swap_attempts_{0};
   mutable std::atomic<uint64_t> swap_retries_{0};
   mutable std::atomic<uint64_t> probe_failures_{0};
   mutable std::atomic<uint64_t> rollbacks_{0};
+  // Sharded serving counters; see EngineStats.
+  mutable std::atomic<uint64_t> touch_clock_{0};
+  mutable std::atomic<uint64_t> shard_attaches_{0};
+  mutable std::atomic<uint64_t> shard_evictions_{0};
+  mutable std::atomic<uint64_t> cross_shard_requests_{0};
 };
 
 }  // namespace serving

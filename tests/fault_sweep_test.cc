@@ -47,7 +47,6 @@
 #include "core/weight_function.h"
 #include "roadnet/shortest_path.h"
 #include "serving/engine.h"
-#include "serving/sharded_engine.h"
 #include "traj/generator.h"
 #include "traj/store.h"
 
@@ -122,11 +121,12 @@ class FaultSweepTest : public ::testing::Test {
       shard_files_->push_back(TempPath(shard.file));
     }
     {
-      ShardedEngineOptions options;
-      options.engine.graph = graph_;
-      options.engine.num_threads = 1;
-      options.engine.query_cache_bytes = 0;
-      auto sharded = ShardedEngine::Open(manifest_, std::move(options));
+      EngineOptions options;
+      options.model_path = manifest_;
+      options.graph = graph_;
+      options.num_threads = 1;
+      options.query_cache_bytes = 0;
+      auto sharded = Engine::Open(std::move(options));
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
       auto probe = sharded.value()->Estimate(ProbeRequest());
       ASSERT_TRUE(probe.ok()) << probe.status().ToString();
@@ -239,11 +239,12 @@ class FaultSweepTest : public ::testing::Test {
     ASSERT_TRUE(split.ok()) << split.status().ToString();
     ASSERT_TRUE(core::LoadShardManifest(m).ok());
     {
-      ShardedEngineOptions options;
-      options.engine.graph = graph_;
-      options.engine.num_threads = 1;
-      options.engine.query_cache_bytes = 0;
-      auto sharded = ShardedEngine::Open(m, std::move(options));
+      EngineOptions options;
+      options.model_path = m;
+      options.graph = graph_;
+      options.num_threads = 1;
+      options.query_cache_bytes = 0;
+      auto sharded = Engine::Open(std::move(options));
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
       ASSERT_TRUE(sharded.value()->Estimate(ProbeRequest()).ok());
     }
@@ -382,11 +383,12 @@ TEST_F(FaultSweepTest, PerSiteSweepFailsCleanAndKeepsServing) {
     // be bit-identical to the disarmed sharded reference.
     (void)core::LoadShardManifest(manifest_);
     {
-      ShardedEngineOptions options;
-      options.engine.graph = graph_;
-      options.engine.num_threads = 1;
-      options.engine.query_cache_bytes = 0;
-      auto sharded = ShardedEngine::Open(manifest_, std::move(options));
+      EngineOptions options;
+      options.model_path = manifest_;
+      options.graph = graph_;
+      options.num_threads = 1;
+      options.query_cache_bytes = 0;
+      auto sharded = Engine::Open(std::move(options));
       if (sharded.ok()) {
         auto response = sharded.value()->Estimate(ProbeRequest());
         if (response.ok()) ExpectServedFromKnownGeneration(response);

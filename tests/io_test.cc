@@ -184,34 +184,33 @@ TEST_F(IoTest, WeightFunctionLoadRejectsGarbage) {
   EXPECT_FALSE(core::LoadWeightFunction("/nonexistent/wp.txt").ok());
 }
 
-TEST_F(IoTest, TextV1ShimAndBinningMismatch) {
-  // A v1-era file (no BINNING record) loads only through the shim, with
-  // the caller supplying the binning it was built with.
-  const std::string v1 = Track(TempPath("pcde_wp_v1.txt"));
-  {
-    std::FILE* f = std::fopen(v1.c_str(), "w");
-    std::fputs("# pcde weight function v1\nVAR,16,40,0,1,3\nDIM,20,30\n"
-               "HB,1,0\n", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(core::LoadWeightFunction(v1).ok());  // v1 rejected here
-  auto shimmed = core::LoadWeightFunctionTextV1(v1, 30.0);
-  ASSERT_TRUE(shimmed.ok()) << shimmed.status().ToString();
-  EXPECT_EQ(shimmed.value().binning().alpha_seconds(), 1800.0);
-  EXPECT_NE(shimmed.value().Lookup(roadnet::Path({3}), 16), nullptr);
-
-  // A v2 file whose embedded binning disagrees with the caller's alpha is
-  // a load-time error (this mismatch used to be silent model corruption).
+TEST_F(IoTest, TextV2BinningIsEmbeddedAndMismatchesFailToLoad) {
+  // A v2 text file carries its own binning; the loader takes it from the
+  // artifact rather than from the caller.
   const std::string v2 = Track(TempPath("pcde_wp_v2.txt"));
   {
     std::FILE* f = std::fopen(v2.c_str(), "w");
     std::fputs("BINNING,30\nVAR,16,40,0,1,3\nDIM,20,30\nHB,1,0\n", f);
     std::fclose(f);
   }
-  EXPECT_TRUE(core::LoadWeightFunctionTextV1(v2, 30.0).ok());
-  auto mismatch = core::LoadWeightFunctionTextV1(v2, 60.0);
-  EXPECT_FALSE(mismatch.ok());
-  EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
+  auto loaded = core::LoadWeightFunction(v2);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().binning().alpha_seconds(), 1800.0);
+  EXPECT_NE(loaded.value().Lookup(roadnet::Path({3}), 16), nullptr);
+
+  // A second BINNING record that disagrees with the first is a load-time
+  // error: variables parsed before it would otherwise be read on the wrong
+  // time grid.
+  const std::string mismatch = Track(TempPath("pcde_wp_v2_mismatch.txt"));
+  {
+    std::FILE* f = std::fopen(mismatch.c_str(), "w");
+    std::fputs("BINNING,30\nVAR,16,40,0,1,3\nDIM,20,30\nHB,1,0\n"
+               "BINNING,60\n", f);
+    std::fclose(f);
+  }
+  auto rejected = core::LoadWeightFunction(mismatch);
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

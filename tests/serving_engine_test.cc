@@ -309,6 +309,38 @@ TEST_F(ServingEngineTest, BatchMatchesSequentialAcrossWorkerCounts) {
   }
 }
 
+TEST_F(ServingEngineTest, BatchResponsesCarryTheRequestedBreakdown) {
+  auto engine = OpenEngine(/*cache_bytes=*/0);
+  ASSERT_NE(engine, nullptr);
+  std::vector<EstimateRequest> requests;
+  for (auto [from, to] : {std::pair<VertexId, VertexId>{0, 30},
+                          {5, 40},
+                          {2, 61}}) {
+    EstimateRequest request = WithDistribution(
+        PathSpec::ExplicitPath(PathBetween(from, to)));
+    request.want_breakdown = true;
+    requests.push_back(std::move(request));
+  }
+  auto batched = engine->EstimateBatch(requests);
+  ASSERT_EQ(batched.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    auto solo = engine->Estimate(requests[i]);
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
+    // The batch serves through the same path as Estimate, so the
+    // decomposition it reports is the solo serve's.
+    EXPECT_GT(solo->breakdown.parts, 0u);
+    EXPECT_EQ(batched[i]->breakdown.parts, solo->breakdown.parts);
+    EXPECT_GE(batched[i]->breakdown.jc_seconds, 0.0);
+  }
+  // Without the flag the breakdown stays empty, batch or not.
+  requests[0].want_breakdown = false;
+  auto plain = engine->EstimateBatch(&requests[0], 1);
+  ASSERT_TRUE(plain[0].ok());
+  EXPECT_EQ(plain[0]->breakdown.parts, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Routing through the Engine
 // ---------------------------------------------------------------------------

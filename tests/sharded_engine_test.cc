@@ -1,5 +1,5 @@
-// Sharded serving (ISSUE 10): the shard compiler + manifest + routing
-// front door, tested against the monolithic Engine as ground truth.
+// Sharded serving: the shard compiler + manifest, served through the one
+// Engine front door, tested against a monolithic Engine as ground truth.
 //
 //  * Equivalence: across 1/2/4 shards and buffered/mmap inner engines, a
 //    path whose edges all fall in one shard's key range is served
@@ -16,32 +16,39 @@
 //    strictly below the monolithic model's.
 //  * Refresh: Swap is a no-op on the same generation, reloads changed
 //    shards on a new one, rejects re-sharding and corrupt/missing/short
-//    shard files with the old manifest still published.
+//    shard files with the old manifest still published. A swap that fails
+//    after some shards reloaded publishes nothing (no mixed generation),
+//    also under concurrent serving; probes and rollback apply to sharded
+//    generations.
 //  * Corruption sweep (model_artifact_test pattern): byte-flips,
 //    truncations, and version skew on the manifest all fail
 //    LoadShardManifest/Open with clean Statuses.
 //  * Concurrency: EstimateBatch across shards under ASan/TSan serves
-//    bit-identically to sequential single-request serving.
+//    bit-identically to sequential single-request serving; one admission
+//    gate bounds the whole engine and counters survive LRU eviction.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "core/instantiation.h"
 #include "core/serialization.h"
 #include "core/shard_writer.h"
 #include "core/weight_function.h"
 #include "roadnet/shortest_path.h"
 #include "serving/engine.h"
-#include "serving/sharded_engine.h"
 #include "traj/generator.h"
 #include "traj/store.h"
 
@@ -150,18 +157,32 @@ class ShardedEngineTest : public ::testing::Test {
     return engine.ok() ? std::move(engine).value() : nullptr;
   }
 
-  static std::unique_ptr<ShardedEngine> OpenSharded(
-      const std::string& manifest, bool use_mmap,
-      size_t max_resident_shards = 0, size_t num_threads = 1) {
-    ShardedEngineOptions options;
-    options.engine.graph = graph_;
-    options.engine.num_threads = num_threads;
-    options.engine.query_cache_bytes = 0;
-    options.engine.use_mmap = use_mmap;
+  static EngineOptions ShardedOptions(const std::string& manifest,
+                                      bool use_mmap,
+                                      size_t max_resident_shards = 0,
+                                      size_t num_threads = 1) {
+    EngineOptions options;
+    options.model_path = manifest;
+    options.graph = graph_;
+    options.num_threads = num_threads;
+    options.query_cache_bytes = 0;
+    options.use_mmap = use_mmap;
     options.max_resident_shards = max_resident_shards;
-    auto engine = ShardedEngine::Open(manifest, std::move(options));
+    return options;
+  }
+
+  static std::unique_ptr<Engine> OpenSharded(EngineOptions options) {
+    auto engine = Engine::Open(std::move(options));
     EXPECT_TRUE(engine.ok()) << engine.status().ToString();
     return engine.ok() ? std::move(engine).value() : nullptr;
+  }
+
+  static std::unique_ptr<Engine> OpenSharded(const std::string& manifest,
+                                             bool use_mmap,
+                                             size_t max_resident_shards = 0,
+                                             size_t num_threads = 1) {
+    return OpenSharded(ShardedOptions(manifest, use_mmap, max_resident_shards,
+                                      num_threads));
   }
 
   static Path PathBetween(VertexId from, VertexId to) {
@@ -435,9 +456,9 @@ TEST_F(ShardedEngineTest, ShardsAttachLazilyAndLruCapEvicts) {
   auto sharded = OpenSharded(manifest4_, /*use_mmap=*/false,
                              /*max_resident_shards=*/1);
   ASSERT_NE(sharded, nullptr);
-  EXPECT_EQ(sharded->num_shards(), 4u);
+  EXPECT_EQ(sharded->manifest_snapshot()->shards.size(), 4u);
   // Open loads no payload: nothing resident until the first request.
-  EXPECT_EQ(sharded->resident_shards(), 0u);
+  EXPECT_EQ(sharded->stats().shards_resident, 0u);
   EXPECT_EQ(sharded->ResidentBytes(), 0u);
 
   // Serve paths owned by at least two distinct shards.
@@ -456,7 +477,7 @@ TEST_F(ShardedEngineTest, ShardsAttachLazilyAndLruCapEvicts) {
     auto response = sharded->Estimate(RequestFor(path));
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     // The cap holds at every step, not just at the end.
-    EXPECT_LE(sharded->resident_shards(), 1u);
+    EXPECT_LE(sharded->stats().shards_resident, 1u);
   }
   ASSERT_GE(distinct_owners, 2u)
       << "fixture paths all landed in one shard; widen the OD scan";
@@ -470,7 +491,7 @@ TEST_F(ShardedEngineTest, ShardsAttachLazilyAndLruCapEvicts) {
   if (!cross_shard.empty()) {
     auto stitched = sharded->Estimate(RequestFor(cross_shard[0]));
     ASSERT_TRUE(stitched.ok()) << stitched.status().ToString();
-    EXPECT_LE(sharded->resident_shards(), 1u);
+    EXPECT_LE(sharded->stats().shards_resident, 1u);
   }
 }
 
@@ -494,7 +515,7 @@ TEST_F(ShardedEngineTest, PerShardResidentBytesStayBelowMonolithic) {
     for (const Path& path : cross_shard) {
       ASSERT_TRUE(sharded->Estimate(RequestFor(path)).ok());
     }
-    ASSERT_GT(sharded->resident_shards(), 1u);
+    ASSERT_GT(sharded->stats().shards_resident, 1u);
     // The flat-memory claim sharding exists for: no single shard is as
     // large as the monolithic model.
     EXPECT_LT(sharded->MaxShardResidentBytes(), mono_bytes)
@@ -510,7 +531,7 @@ TEST_F(ShardedEngineTest, PerShardResidentBytesStayBelowMonolithic) {
 TEST_F(ShardedEngineTest, SwapIsNoOpOnSameGenerationAndReloadsOnNewOne) {
   auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
   ASSERT_NE(sharded, nullptr);
-  const uint64_t gen_a = sharded->manifest_fingerprint();
+  const uint64_t gen_a = sharded->manifest_snapshot()->fingerprint;
   // Attach both shards first so the swap exercises the reload path.
   auto loaded = core::LoadShardManifest(manifest2_);
   ASSERT_TRUE(loaded.ok());
@@ -519,7 +540,7 @@ TEST_F(ShardedEngineTest, SwapIsNoOpOnSameGenerationAndReloadsOnNewOne) {
   ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
   ASSERT_FALSE(cross_shard.empty());
   ASSERT_TRUE(sharded->Estimate(RequestFor(cross_shard[0])).ok());
-  ASSERT_EQ(sharded->resident_shards(), 2u);
+  ASSERT_EQ(sharded->stats().shards_resident, 2u);
 
   // Same generation: short-circuit, same epoch, nothing reloads.
   auto noop = sharded->Swap(manifest2_);
@@ -533,7 +554,7 @@ TEST_F(ShardedEngineTest, SwapIsNoOpOnSameGenerationAndReloadsOnNewOne) {
   auto swapped = sharded->Swap(alt_manifest);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   EXPECT_EQ(swapped.value(), 2u);
-  EXPECT_NE(sharded->manifest_fingerprint(), gen_a);
+  EXPECT_NE(sharded->manifest_snapshot()->fingerprint, gen_a);
 
   // Served answers now ExactlyEqual a monolithic engine on the alt model
   // for single-shard paths of the NEW manifest.
@@ -566,20 +587,20 @@ TEST_F(ShardedEngineTest, SwapIsNoOpOnSameGenerationAndReloadsOnNewOne) {
   auto back = sharded->Swap(manifest2_);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), 3u);
-  EXPECT_EQ(sharded->manifest_fingerprint(), gen_a);
+  EXPECT_EQ(sharded->manifest_snapshot()->fingerprint, gen_a);
 }
 
 TEST_F(ShardedEngineTest, SwapRejectsReshardingWithOldManifestIntact) {
   auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
   ASSERT_NE(sharded, nullptr);
-  const uint64_t before = sharded->manifest_fingerprint();
+  const uint64_t before = sharded->manifest_snapshot()->fingerprint;
   auto rejected = sharded->Swap(manifest4_);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(rejected.status().ToString().find("re-sharding"),
             std::string::npos)
       << rejected.status().ToString();
-  EXPECT_EQ(sharded->manifest_fingerprint(), before);
+  EXPECT_EQ(sharded->manifest_snapshot()->fingerprint, before);
   EXPECT_EQ(sharded->epoch_sequence(), 1u);
   // Still serving.
   EXPECT_TRUE(sharded->Estimate(RequestFor(PathBetween(0, 30))).ok());
@@ -589,15 +610,16 @@ TEST_F(ShardedEngineTest, SwapRejectsReshardingWithOldManifestIntact) {
 // Manifest + shard-file corruption (model_artifact_test pattern)
 // ---------------------------------------------------------------------------
 
-/// Opens a ShardedEngine on `manifest` expecting failure with a clean
-/// Status; returns that Status.
+/// Opens an Engine on `manifest` expecting failure with a clean Status;
+/// returns that Status.
 Status OpenExpectingFailure(const std::string& manifest,
                             const roadnet::Graph* graph) {
-  ShardedEngineOptions options;
-  options.engine.graph = graph;
-  options.engine.num_threads = 1;
-  options.engine.query_cache_bytes = 0;
-  auto opened = ShardedEngine::Open(manifest, std::move(options));
+  EngineOptions options;
+  options.model_path = manifest;
+  options.graph = graph;
+  options.num_threads = 1;
+  options.query_cache_bytes = 0;
+  auto opened = Engine::Open(std::move(options));
   EXPECT_FALSE(opened.ok());
   return opened.ok() ? Status::OK() : opened.status();
 }
@@ -685,7 +707,7 @@ TEST_F(ShardedEngineTest, MissingShortOrForeignShardFilesFailOpenAndSwap) {
   // below must leave it publishing that generation.
   auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
   ASSERT_NE(sharded, nullptr);
-  const uint64_t before = sharded->manifest_fingerprint();
+  const uint64_t before = sharded->manifest_snapshot()->fingerprint;
 
   // (a) Missing shard file.
   ASSERT_EQ(std::remove(shard0.c_str()), 0);
@@ -722,7 +744,7 @@ TEST_F(ShardedEngineTest, MissingShortOrForeignShardFilesFailOpenAndSwap) {
             StatusCode::kInvalidArgument);
 
   // The old generation survived every rejected swap.
-  EXPECT_EQ(sharded->manifest_fingerprint(), before);
+  EXPECT_EQ(sharded->manifest_snapshot()->fingerprint, before);
   EXPECT_EQ(sharded->epoch_sequence(), 1u);
   EXPECT_TRUE(sharded->Estimate(RequestFor(PathBetween(0, 30))).ok());
 
@@ -780,6 +802,307 @@ TEST_F(ShardedEngineTest, ConcurrentBatchMatchesSequentialServing) {
           responses[i].value().summary.ExactlyEquals(expected->summary));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Generation atomicity: a multi-shard swap publishes all of it or nothing
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardedEngineTest, FailedMidSwapLeavesTheOldGenerationServing) {
+  auto loaded = core::LoadShardManifest(manifest2_);
+  ASSERT_TRUE(loaded.ok());
+  std::vector<Path> in_shard;
+  std::vector<Path> cross_shard;
+  ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
+  ASSERT_FALSE(in_shard.empty());
+  ASSERT_FALSE(cross_shard.empty());
+
+  auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
+  ASSERT_NE(sharded, nullptr);
+  // References from the old generation; the cross-shard request attaches
+  // both shards, so the swap below must reload both.
+  std::vector<EstimateRequest> requests;
+  for (size_t i = 0; i < 4 && i < in_shard.size(); ++i) {
+    requests.push_back(RequestFor(in_shard[i]));
+  }
+  for (size_t i = 0; i < 4 && i < cross_shard.size(); ++i) {
+    requests.push_back(RequestFor(cross_shard[i]));
+  }
+  std::vector<CostSummary> reference;
+  for (const EstimateRequest& request : requests) {
+    auto response = sharded->Estimate(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    reference.push_back(response->summary);
+  }
+  ASSERT_EQ(sharded->stats().shards_resident, 2u);
+  const uint64_t epoch_before = sharded->epoch_sequence();
+  const uint64_t fingerprint_before = sharded->manifest_snapshot()->fingerprint;
+
+  // A new generation whose every shard differs from the served one.
+  const std::string alt_manifest = WriteGeneration(*wp_alt_, "midswap", 2);
+  auto alt = core::LoadShardManifest(alt_manifest);
+  ASSERT_TRUE(alt.ok());
+  for (size_t s = 0; s < 2; ++s) {
+    ASSERT_NE(alt.value().shards[s].fingerprint,
+              loaded.value().shards[s].fingerprint);
+  }
+  {
+    // The first changed shard reloads; the second shard's load fails.
+    fault::ScopedFaultInjection injection;
+    fault::FaultPlan plan;
+    plan.fail_on_hit = 2;
+    ASSERT_TRUE(injection.Arm("serving.swap.load", plan).ok());
+    auto swapped = sharded->Swap(alt_manifest);
+    ASSERT_FALSE(swapped.ok());
+    EXPECT_EQ(swapped.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(fault::FaultSiteHits("serving.swap.load"), 2u);
+  }
+  EXPECT_EQ(sharded->epoch_sequence(), epoch_before);
+  EXPECT_EQ(sharded->manifest_snapshot()->fingerprint, fingerprint_before);
+  // Every answer — in-shard and stitched — is still the old generation's,
+  // bit for bit: the reloaded first shard never became reachable.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    auto response = sharded->Estimate(requests[i]);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response->summary.ExactlyEquals(reference[i]));
+    EXPECT_EQ(response->model_fingerprint, fingerprint_before);
+    EXPECT_EQ(response->epoch, epoch_before);
+  }
+  // With the fault gone the same swap publishes the whole new generation.
+  auto retried = sharded->Swap(alt_manifest);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried.value(), epoch_before + 1);
+  EXPECT_EQ(sharded->manifest_snapshot()->fingerprint, alt.value().fingerprint);
+}
+
+TEST_F(ShardedEngineTest, ConcurrentSwapAndServeNeverMixesGenerations) {
+  // Two good generations (A: the trajectory model, B: the speed-limit-only
+  // one) and, for each, a torn copy whose second shard has a corrupted
+  // payload behind an intact header: it passes the swap's file validation
+  // and fails only when the swap loads it, after the first shard reloaded.
+  const std::string gen_a = manifest2_;
+  const std::string gen_b = WriteGeneration(*wp_alt_, "concb", 2);
+  auto tear = [](const std::string& manifest) {
+    auto loaded = core::LoadShardManifest(manifest);
+    EXPECT_TRUE(loaded.ok());
+    const std::string shard1 = TempPath(loaded.value().shards[1].file);
+    std::vector<char> bytes = ReadAll(shard1);
+    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x5a);
+    WriteAll(shard1, bytes);
+    EXPECT_TRUE(core::PeekBinaryArtifactFingerprint(shard1).ok());
+    EXPECT_FALSE(core::LoadWeightFunctionBinary(shard1, false).ok())
+        << "the torn shard must fail its full load";
+  };
+  const std::string torn_a = WriteGeneration(*wp_, "conctorna", 2);
+  const std::string torn_b = WriteGeneration(*wp_alt_, "conctornb", 2);
+  tear(torn_a);
+  tear(torn_b);
+
+  // Requests mixing in-shard and cross-shard paths under either partition.
+  auto loaded = core::LoadShardManifest(gen_a);
+  ASSERT_TRUE(loaded.ok());
+  std::vector<Path> in_shard;
+  std::vector<Path> cross_shard;
+  ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
+  ASSERT_FALSE(cross_shard.empty());
+  std::vector<EstimateRequest> requests;
+  for (size_t i = 0; i < 6; ++i) {
+    requests.push_back(RequestFor(in_shard[i % in_shard.size()]));
+    requests.push_back(RequestFor(cross_shard[i % cross_shard.size()]));
+  }
+  // Per-generation references, keyed by the fingerprint responses stamp.
+  std::unordered_map<uint64_t, std::vector<CostSummary>> references;
+  for (const std::string* manifest : {&gen_a, &gen_b}) {
+    auto engine = OpenSharded(*manifest, /*use_mmap=*/false);
+    ASSERT_NE(engine, nullptr);
+    std::vector<CostSummary>& ref =
+        references[engine->manifest_snapshot()->fingerprint];
+    for (const EstimateRequest& request : requests) {
+      auto response = engine->Estimate(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ref.push_back(response->summary);
+    }
+  }
+  ASSERT_EQ(references.size(), 2u);
+
+  auto sharded = OpenSharded(gen_a, /*use_mmap=*/false, /*max_resident=*/0,
+                             /*num_threads=*/2);
+  ASSERT_NE(sharded, nullptr);
+  // Attach both shards so every swap below reloads changed shards eagerly.
+  ASSERT_TRUE(sharded->Estimate(requests[1]).ok());
+  ASSERT_EQ(sharded->stats().shards_resident, 2u);
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> served{0};
+  std::atomic<uint64_t> mixed{0};
+  std::atomic<uint64_t> failed{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t k = c; !done.load(std::memory_order_acquire); ++k) {
+        const size_t i = k % requests.size();
+        auto response = sharded->Estimate(requests[i]);
+        if (!response.ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        served.fetch_add(1);
+        auto ref = references.find(response->model_fingerprint);
+        if (ref == references.end() ||
+            !response->summary.ExactlyEquals(ref->second[i])) {
+          mixed.fetch_add(1);
+        }
+      }
+    });
+  }
+  // The swapper alternates good and torn generations: serving A it tries
+  // torn B (fails mid-swap) then B; serving B it tries torn A then A.
+  size_t good_swaps = 0;
+  for (size_t round = 0; round < 6; ++round) {
+    const bool serving_a = round % 2 == 0;
+    auto torn = sharded->Swap(serving_a ? torn_b : torn_a);
+    EXPECT_FALSE(torn.ok()) << "torn generation published in round " << round;
+    auto good = sharded->Swap(serving_a ? gen_b : gen_a);
+    EXPECT_TRUE(good.ok()) << good.status().ToString();
+    good_swaps += good.ok() ? 1 : 0;
+    // Let the clients serve a little on each generation.
+    const uint64_t target = served.load() + 8;
+    while (served.load() < target && failed.load() == 0) {
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(good_swaps, 6u);
+  EXPECT_EQ(sharded->epoch_sequence(), 1u + good_swaps);
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GT(served.load(), 0u);
+  EXPECT_EQ(mixed.load(), 0u) << "a response mixed shard generations";
+}
+
+TEST_F(ShardedEngineTest, ProbesAndRollbackApplyToShardedGenerations) {
+  auto loaded = core::LoadShardManifest(manifest2_);
+  ASSERT_TRUE(loaded.ok());
+  std::vector<Path> in_shard;
+  std::vector<Path> cross_shard;
+  ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
+  ASSERT_FALSE(cross_shard.empty());
+  EngineOptions options = ShardedOptions(manifest2_, /*use_mmap=*/false);
+  options.swap_policy.rollback_capacity = 2;
+  auto sharded = OpenSharded(std::move(options));
+  ASSERT_NE(sharded, nullptr);
+  const uint64_t gen_a = sharded->manifest_snapshot()->fingerprint;
+
+  // A probe stamped on the served generation rejects a candidate that
+  // answers it differently; nothing publishes. The probe is a cross-shard
+  // path the two generations disagree on (paths without trajectory
+  // coverage answer alike under both).
+  const std::string alt_manifest = WriteGeneration(*wp_alt_, "probed", 2);
+  auto alt_engine = OpenSharded(alt_manifest, /*use_mmap=*/false);
+  ASSERT_NE(alt_engine, nullptr);
+  GoldenProbe probe;
+  probe.has_reference = true;
+  bool found = false;
+  for (const Path& path : cross_shard) {
+    probe.request = RequestFor(path);
+    auto stamped = sharded->Estimate(probe.request);
+    auto other = alt_engine->Estimate(probe.request);
+    ASSERT_TRUE(stamped.ok());
+    ASSERT_TRUE(other.ok());
+    probe.reference = stamped->summary;
+    if (!other->summary.ExactlyEquals(probe.reference)) {
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found) << "no cross-shard path tells the generations apart";
+  SwapOptions verified;
+  verified.probes = {probe};
+  auto rejected = sharded->Swap(alt_manifest, verified);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(sharded->epoch_sequence(), 1u);
+  EXPECT_EQ(sharded->stats().probe_failures, 1u);
+
+  // Unverified, the swap publishes; rollback republishes the old
+  // generation under a new epoch and it answers as before.
+  auto swapped = sharded->Swap(alt_manifest);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_EQ(swapped.value(), 2u);
+  EXPECT_EQ(sharded->rollback_depth(), 1u);
+  auto rolled = sharded->RollbackToPrevious();
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  EXPECT_EQ(rolled.value(), 3u);
+  EXPECT_EQ(sharded->manifest_snapshot()->fingerprint, gen_a);
+  auto again = sharded->Estimate(probe.request);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->summary.ExactlyEquals(probe.reference));
+  EXPECT_EQ(again->epoch, 3u);
+
+  // Routing may cross shards, so it serves 1-shard generations only.
+  RouteRequest route;
+  route.from = 0;
+  route.to = 30;
+  route.departure_time = kDepart;
+  route.budget_seconds = 3600.0;
+  EXPECT_EQ(sharded->Route(route).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ShardedEngineTest, StatsCountOneAdmissionGateAndSurviveEviction) {
+  auto loaded = core::LoadShardManifest(manifest4_);
+  ASSERT_TRUE(loaded.ok());
+  std::vector<Path> in_shard;
+  std::vector<Path> cross_shard;
+  ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
+  ASSERT_FALSE(in_shard.empty());
+  ASSERT_FALSE(cross_shard.empty());
+  // One resident shard, four workers, and room for two requests at a time;
+  // the rest queue (never shed) behind the one engine-wide gate.
+  EngineOptions options = ShardedOptions(manifest4_, /*use_mmap=*/false,
+                                         /*max_resident_shards=*/1,
+                                         /*num_threads=*/4);
+  options.max_inflight_requests = 2;
+  options.max_queue_depth = 64;
+  options.queue_timeout_seconds = 60.0;
+  auto sharded = OpenSharded(std::move(options));
+  ASSERT_NE(sharded, nullptr);
+
+  std::vector<EstimateRequest> batch;
+  size_t cross = 0;
+  for (size_t i = 0; i < 24; ++i) {
+    const bool stitched = i % 3 == 2;
+    const std::vector<Path>& pool = stitched ? cross_shard : in_shard;
+    batch.push_back(RequestFor(pool[i % pool.size()]));
+    cross += stitched ? 1 : 0;
+  }
+  auto responses = sharded->EstimateBatch(batch);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << i << ": "
+                                   << responses[i].status().ToString();
+  }
+  EngineStats stats = sharded->stats();
+  EXPECT_EQ(stats.admitted, batch.size());
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_GE(stats.inflight_highwater, 1u);
+  EXPECT_LE(stats.inflight_highwater, 2u)
+      << "the high-water mark is one gate's, not a sum over shards";
+  EXPECT_EQ(stats.cross_shard_requests, cross);
+  EXPECT_LE(stats.shards_resident, 1u);
+  ASSERT_GE(stats.shard_evictions, 1u);
+
+  // Evicting shards does not drop what they served: the counters only
+  // move forward.
+  const EngineStats before = stats;
+  for (const Path& path : in_shard) {
+    ASSERT_TRUE(sharded->Estimate(RequestFor(path)).ok());
+  }
+  stats = sharded->stats();
+  EXPECT_EQ(stats.admitted, before.admitted + in_shard.size());
+  EXPECT_GE(stats.shard_evictions, before.shard_evictions);
+  EXPECT_EQ(stats.cross_shard_requests, before.cross_shard_requests);
+  EXPECT_LE(stats.inflight_highwater, 2u);
 }
 
 }  // namespace
